@@ -18,6 +18,7 @@ import numpy as np
 
 from ..core.exceptions import ConfigurationError
 from ..core.schedule import Schedule
+from ..core.util import csr_gather
 from ..schedulers.mc import MostChildrenReplayer
 from .bounds import idle_count_curve, remaining_work_curve, tau
 
@@ -182,28 +183,26 @@ def check_mc_busy(
     first, the check fails.
     """
     replayer = MostChildrenReplayer(steps, dag)
-    done: set[int] = set()
-    completed_before_step: set[int] = set()
     # Predecessors outside the replayed portion (e.g. in the head of an LPF
-    # schedule whose tail we are replaying) count as already complete.
-    replayed: set[int] = set()
-    for level in steps:
-        replayed.update(int(v) for v in level)
+    # schedule whose tail we are replaying) count as already complete, so
+    # `blocked[v]` counts v's replayed parents not yet picked.
+    replayed = np.concatenate(
+        [np.asarray(level, dtype=np.int64) for level in steps]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    waiting = np.zeros(dag.n, dtype=bool)
+    waiting[replayed] = True
+    kids, _ = csr_gather(dag.child_indptr, dag.child_indices, replayed)
+    blocked = np.bincount(kids, minlength=dag.n)
 
     def ready(v: int) -> bool:
-        if not track_readiness:
-            return True
-        return all(
-            int(p) not in replayed or int(p) in completed_before_step
-            for p in dag.parents(v)
-        )
+        return not track_readiness or blocked[v] == 0
 
     for idx, m_t in enumerate(allocations):
         if replayer.finished:
             return CheckResult(True, f"finished after {idx} allocation steps")
-        ready_now = sum(
-            1 for v in replayed if v not in done and ready(int(v))
-        )
+        ready_mask = waiting & (blocked == 0) if track_readiness else waiting
+        ready_now = int(np.count_nonzero(ready_mask))
         picks = replayer.select(int(m_t), ready)
         target = int(m_t) if strict else min(int(m_t), ready_now)
         if len(picks) < target and not replayer.finished:
@@ -214,8 +213,10 @@ def check_mc_busy(
                 f"{ready_now} ready, scheduled {len(picks)}, "
                 f"{replayer.remaining} subjobs remain",
             )
-        done.update(picks)
-        completed_before_step = set(done)
+        picked = np.asarray(picks, dtype=np.int64)
+        waiting[picked] = False
+        kids, _ = csr_gather(dag.child_indptr, dag.child_indices, picked)
+        np.subtract.at(blocked, kids, 1)
     if not replayer.finished:
         return CheckResult(
             False, f"allocations exhausted with {replayer.remaining} subjobs left"

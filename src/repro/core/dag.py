@@ -138,12 +138,12 @@ class DAG:
         if src.size:
             if np.any(src == dst):
                 raise CycleError("self-loop edge found")
-            pair_keys = src * np.int64(self.n) + dst
-            if np.unique(pair_keys).size != pair_keys.size:
+            pair_keys = np.sort(src * np.int64(self.n) + dst)
+            if np.any(pair_keys[1:] == pair_keys[:-1]):
                 raise GraphError("duplicate edge found")
         self.child_indptr, self.child_indices = build_csr(self.n, src, dst)
         self.parent_indptr, self.parent_indices = build_csr(self.n, dst, src)
-        # Eager acyclicity check: computing depth performs a full Kahn pass.
+        # Eager acyclicity check: computing depth raises on any cycle.
         _ = self.depth
 
     # ------------------------------------------------------------------
@@ -248,9 +248,16 @@ class DAG:
     def depth(self) -> Array:
         """``D(j)``: nodes on the root→j path; roots have depth 1.
 
-        Computed by a vectorized Kahn pass; raises :class:`CycleError` if the
-        edge set is cyclic (this runs at construction time).
+        Out-forests (every indegree <= 1) resolve by pointer doubling over
+        the parent array, O(log n) vector passes; general DAGs take a
+        vectorized Kahn pass, one per level. Either raises
+        :class:`CycleError` if the edge set is cyclic (this runs at
+        construction time).
         """
+        return self._forest_depth() if self.is_out_forest else self._kahn_depth()
+
+    def _kahn_depth(self) -> Array:
+        """:attr:`depth` of a general DAG, one vectorized pass per level."""
         n = self.n
         depth = np.zeros(n, dtype=_INT)
         remaining = self.indegree.copy()
@@ -270,6 +277,32 @@ class DAG:
             processed += frontier.size
         if processed != n:
             raise CycleError(f"graph has a cycle ({n - processed} nodes unreachable)")
+        depth.setflags(write=False)
+        return depth
+
+    def _forest_depth(self) -> Array:
+        """:attr:`depth` of a graph with every indegree <= 1.
+
+        ``up[v]`` is a jump pointer and ``depth[v]`` counts the nodes from
+        ``v`` up to, but excluding, ``up[v]``; each round doubles every live
+        jump. A root-ward path of ``n`` nodes dies out within
+        ``n.bit_length()`` rounds, so a pointer still live after that lies
+        on, or hangs below, a cycle (a functional graph's only other shape).
+        """
+        n = self.n
+        up = np.full(n, -1, dtype=_INT)
+        up[self.indegree == 1] = self.parent_indices
+        depth = np.ones(n, dtype=_INT)
+        live = np.nonzero(up >= 0)[0]
+        for _ in range(n.bit_length() + 1):
+            if not live.size:
+                break
+            jump = up[live]
+            depth[live] += depth[jump]
+            up[live] = up[jump]
+            live = live[up[live] >= 0]
+        if live.size:
+            raise CycleError(f"graph has a cycle ({live.size} nodes unreachable)")
         depth.setflags(write=False)
         return depth
 

@@ -19,9 +19,14 @@ out-tree jobs released at the same instant (Section 5.3 performs exactly
 that merge in the other direction).
 
 This module co-simulates deterministic arbitrary FIFO (ascending node id;
-keys receive the largest id of their layer) against the lazy adversary,
-then *freezes* the instance. The frozen instance replays bit-identically
-through the general engine with
+keys ordered last) against the lazy adversary on a few counters per job:
+whether the job's latest key is ready or its next layer is pending, plus
+each materialized layer's size, key rank and completion steps. Every layer
+has ``f + 1`` subjobs when FIFO first touches it with ``f`` free
+processors, so its ``f`` leaves all run at that touch and only the key is
+left behind; no per-subjob state is needed. The instance is then *frozen*
+into parent and completion arrays per job. The frozen instance replays
+bit-identically through the general engine with
 :class:`~repro.schedulers.base.ArbitraryTieBreak` (an integration test
 asserts this), and ships with an explicit OPT witness schedule achieving
 maximum flow at most ``m + 1``.
@@ -102,68 +107,6 @@ class AdversarialResult:
         return self.fifo_max_flow / self.opt_upper_bound
 
 
-class _AdversaryJob:
-    """Mutable per-job state during the co-simulation."""
-
-    __slots__ = (
-        "release",
-        "n_layers",
-        "layers",  # list of lists of local node ids
-        "keys",  # designated key subjob per layer
-        "key_set",  # same as keys, as a set (hot-path membership test)
-        "ready",  # local ids ready now
-        "pending_layer",  # next layer index awaiting materialization, or None
-        "n_nodes",
-        "done_count",
-        "completion",  # local id -> completion time (filled during co-sim)
-    )
-
-    def __init__(self, release: int, n_layers: int):
-        self.release = release
-        self.n_layers = n_layers
-        self.layers: list[list[int]] = []
-        self.keys: list[int] = []
-        self.key_set: set[int] = set()
-        self.ready: list[int] = []
-        self.pending_layer: int | None = 0
-        self.n_nodes = 0
-        self.done_count = 0
-        self.completion: dict[int, int] = {}
-
-    @property
-    def finished(self) -> bool:
-        return self.pending_layer is None and not self.ready and (
-            self.done_count == self.n_nodes
-        )
-
-    def materialize(self, size: int, key_index: int) -> list[int]:
-        """Create the pending layer with ``size`` subjobs; the subjob at
-        position ``key_index`` is the designated key (the one FIFO will
-        leave unscheduled at first touch)."""
-        assert self.pending_layer is not None
-        base = self.n_nodes
-        nodes = list(range(base, base + size))
-        self.n_nodes += size
-        self.layers.append(nodes)
-        self.keys.append(nodes[key_index])
-        self.key_set.add(nodes[key_index])
-        self.ready.extend(nodes)
-        self.pending_layer = None
-        return nodes
-
-    def key_of(self, layer_idx: int) -> int:
-        return self.keys[layer_idx]
-
-    def complete(self, local: int, t_finish: int) -> None:
-        self.completion[local] = t_finish
-        self.done_count += 1
-        # If the completed node is the key of the latest layer and more
-        # layers remain, the next layer becomes pending.
-        latest = len(self.layers) - 1
-        if local == self.key_of(latest) and latest + 1 < self.n_layers:
-            self.pending_layer = latest + 1
-
-
 @cached_generator(
     safe=lambda a: a.get("key_placement") != "random"
     or isinstance(a.get("seed"), int)
@@ -224,140 +167,121 @@ def build_fifo_adversary(
             "key_placement must be 'last', 'first' or 'random'"
         )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    releases = [i * period for i in range(n_jobs)]
     if max_steps is None:
         # Theorem 4.2's argument unfolds within O(n_jobs * (m+1) * log m)
         # time; pad generously.
         max_steps = (n_jobs + 4 * layers + 8) * period * 4 + 64
 
-    jobs: list[_AdversaryJob] = []
+    # One entry per materialized layer of each job: its size, the key's rank
+    # inside it, and the completion steps of its leaves and of its key.
+    sizes: list[list[int]] = [[] for _ in range(n_jobs)]
+    key_ranks: list[list[int]] = [[] for _ in range(n_jobs)]
+    leaf_done: list[list[int]] = [[] for _ in range(n_jobs)]
+    key_done: list[list[int]] = [[] for _ in range(n_jobs)]
+    # An alive job is in one of two states at the start of a step: its
+    # latest key is ready (True), or its next layer awaits materialization.
+    key_ready = [False] * n_jobs
+    alive: list[int] = []  # released-and-unfinished jobs, arrival order
     next_release = 0
-    alive: list[_AdversaryJob] = []  # released-and-unfinished, arrival order
-    n_alive = 0  # len(alive), tracked to keep the loop condition O(1)
     t = 0
-    # Co-simulate FIFO: scan alive jobs oldest-first, materializing layers
-    # lazily the first time FIFO reaches them with spare capacity.
-    while next_release < n_jobs or n_alive > 0:
+    while next_release < n_jobs or alive:
         if t > max_steps:
             raise ConfigurationError(
                 f"adversary co-simulation exceeded {max_steps} steps"
             )
-        while next_release < n_jobs and releases[next_release] == t:
-            job = _AdversaryJob(releases[next_release], layers)
-            jobs.append(job)
-            alive.append(job)
+        if next_release < n_jobs and next_release * period == t:
+            alive.append(next_release)
             next_release += 1
-            n_alive += 1
+        if not alive:
+            t = next_release * period
+            continue
+        # FIFO scans alive jobs oldest-first. A ready key takes one
+        # processor. A pending layer is fixed at capacity + 1 subjobs, so
+        # FIFO runs all its leaves now, leaves only the key behind, and the
+        # step is full.
         capacity = m
-        scheduled: list[tuple[_AdversaryJob, int]] = []
-        # `jobs` holds released jobs in arrival order; skip finished ones
-        # without rescanning (they are pruned after completions below).
-        for job in alive:
-            if capacity <= 0:
-                break
-            if job.pending_layer is not None and capacity >= 1:
-                # The adversary fixes the layer size now: capacity + 1,
-                # and designates the key per the placement policy.
+        finished = False
+        for j in alive:
+            if key_ready[j]:
+                key_ready[j] = False
+                key_done[j].append(t + 1)
+                finished |= len(key_done[j]) == layers
+                capacity -= 1
+            else:
                 size = capacity + 1
                 if key_placement == "last":
-                    key_index = size - 1
+                    key_rank = size - 1
                 elif key_placement == "first":
-                    key_index = 0
+                    key_rank = 0
                 else:
-                    key_index = int(rng.integers(0, size))
-                job.materialize(size, key_index)
-            if job.ready:
-                take = min(capacity, len(job.ready))
-                # Non-keys first (they are what FIFO schedules at first
-                # touch); the designated key is ordered last.
-                key_set = job.key_set
-                job.ready.sort(key=lambda v: (v in key_set, v))
-                chosen, job.ready = job.ready[:take], job.ready[take:]
-                scheduled.extend((job, local) for local in chosen)
-                capacity -= take
-        # Advance time; if nothing ran and nothing is ready, jump to the
-        # next release.
-        if not scheduled:
-            future = [r for r in releases[next_release:]]
-            if not future and all(j.finished for j in jobs):
+                    key_rank = int(rng.integers(0, size))
+                sizes[j].append(size)
+                key_ranks[j].append(key_rank)
+                leaf_done[j].append(t + 1)
+                key_ready[j] = True
+                capacity = 0
+            if capacity == 0:
                 break
-            t = future[0] if future else t + 1
-            continue
-        finish = t + 1
-        pruned = False
-        for job, local in scheduled:
-            job.complete(local, finish)
-            if job.finished:
-                n_alive -= 1
-                pruned = True
-        if pruned:
-            alive = [j for j in alive if not j.finished]
-        t = finish
+        if finished:
+            alive = [j for j in alive if len(key_done[j]) < layers]
+        t += 1
 
-    return _freeze(jobs, m, period)
-
-
-def _freeze(jobs: list[_AdversaryJob], m: int, period: int) -> AdversarialResult:
-    """Materialize the co-simulated family into concrete objects."""
     frozen_jobs: list[Job] = []
-    completions: list[np.ndarray] = []
-    for idx, aj in enumerate(jobs):
-        parents = np.full(aj.n_nodes, -1, dtype=_INT)
-        for layer_idx in range(1, len(aj.layers)):
-            key = aj.key_of(layer_idx - 1)
-            for node in aj.layers[layer_idx]:
-                parents[node] = key
-        dag = DAG.from_parents(parents)
-        frozen_jobs.append(Job(dag, aj.release, label=f"adv{idx}"))
-        comp = np.zeros(aj.n_nodes, dtype=_INT)
-        for local, tf in aj.completion.items():
-            comp[local] = tf
-        completions.append(comp)
+    fifo: list[np.ndarray] = []
+    witness: list[np.ndarray] | None = [] if period >= m + 1 else None
+    for j in range(n_jobs):
+        size = np.asarray(sizes[j], dtype=_INT)
+        rank = np.asarray(key_ranks[j], dtype=_INT)
+        key = np.cumsum(size) - size + rank
+        # Layer ℓ+1 hangs off layer ℓ's key; layer 0 is parentless.
+        parents = np.repeat(np.concatenate(([-1], key[:-1])), size)
+        frozen_jobs.append(
+            Job(DAG.from_parents(parents), j * period, label=f"adv{j}")
+        )
+        comp = np.repeat(np.asarray(leaf_done[j], dtype=_INT), size)
+        comp[key] = key_done[j]
+        fifo.append(comp)
+        if witness is not None:
+            witness.append(_opt_witness(size, rank, j * period, m, period))
     instance = Instance(frozen_jobs)
-    fifo_schedule = Schedule(instance, m, completions)
+    fifo_schedule = Schedule(instance, m, fifo)
     fifo_schedule.validate()
-    witness = None
-    if period >= m + 1:
-        witness = _opt_witness(instance, m, period)
-        witness.validate()
-    return AdversarialResult(instance, fifo_schedule, witness, m, period)
+    opt_witness = None
+    if witness is not None:
+        opt_witness = Schedule(instance, m, witness)
+        opt_witness.validate()
+    return AdversarialResult(instance, fifo_schedule, opt_witness, m, period)
 
 
-def _opt_witness(instance: Instance, m: int, period: int) -> Schedule:
-    """The paper's OPT witness: run the key chain of each job one subjob per
-    step starting right after release, and pack the leaves greedily into the
-    job's own ``m+1``-step window (windows of consecutive jobs are disjoint,
-    so each job has the full ``m`` processors)."""
-    completions = []
-    for job in instance:
-        dag = job.dag
-        r = job.release
-        comp = np.zeros(dag.n, dtype=_INT)
-        # Keys are the internal nodes (outdegree > 0) plus the deepest
-        # layer's designated key; identify layers by depth.
-        depth = dag.depth
-        n_layers = int(depth.max())
-        # Key of layer d: the unique node at depth d with children, or (at
-        # the deepest layer) the largest-id node (by construction).
-        slots = np.full(period, m, dtype=_INT)  # free capacity of steps r+1..r+period
-        for d in range(1, n_layers + 1):
-            level = np.nonzero(depth == d)[0]
-            internal = level[dag.outdegree[level] > 0]
-            key = int(internal[0]) if internal.size else int(level.max())
-            comp[key] = r + d
-            slots[d - 1] -= 1
-            # Leaves of layer d may run in steps r+d .. r+period (they are
-            # ready once the previous key completes at r+d-1).
-            leaves = [int(v) for v in level if v != key]
-            s = d - 1  # slot index of step r+d
-            for v in leaves:
-                while s < period and slots[s] == 0:
-                    s += 1
-                if s >= period:
-                    raise ConfigurationError(
-                        "witness construction overflow: layer too large"
-                    )
-                comp[v] = r + s + 1
-                slots[s] -= 1
-        completions.append(comp)
-    return Schedule(instance, m, completions)
+def _opt_witness(
+    size: np.ndarray, key_rank: np.ndarray, release: int, m: int, period: int
+) -> np.ndarray:
+    """One job's completions in the paper's OPT witness.
+
+    The key of layer ``ℓ`` (0-based) runs at step ``r + ℓ + 1`` and the
+    layer's leaves, in ascending id order, fill the earliest free slots from
+    that step on, inside the job's own ``period``-step window (windows of
+    consecutive jobs are disjoint, so the job has all ``m`` processors).
+    The deepest layer has no children; its largest id stands in as its key.
+
+    Read the window as a stream of ``period * m`` unit positions, slot
+    ``s`` holding positions ``s*m .. s*m + m-1``. Layer ``ℓ`` then takes a
+    contiguous run, key first, starting at ``ℓ*m + q_ℓ``, where ``q_ℓ``
+    counts earlier units spilled into slot ``ℓ``: ``q_0 = 0`` and
+    ``q_{ℓ+1} = max(0, q_ℓ + size_ℓ - m)``, a Lindley recursion.
+    """
+    n_layers = size.size
+    drift = np.concatenate(([0], np.cumsum(size - m)[:-1]))
+    spill = drift - np.minimum.accumulate(drift)
+    witness_key = key_rank.copy()
+    witness_key[-1] = size[-1] - 1
+    first = np.cumsum(size) - size
+    in_layer = np.arange(int(size.sum()), dtype=_INT) - np.repeat(first, size)
+    wk = np.repeat(witness_key, size)
+    offset = np.where(in_layer == wk, 0, in_layer + (in_layer < wk))
+    start = np.arange(n_layers, dtype=_INT) * m + spill
+    slot = (np.repeat(start, size) + offset) // m
+    # spill >= m: a key's own slot is already full.
+    if spill.max() >= m or slot.max() >= period:
+        raise ConfigurationError("witness construction overflow: layer too large")
+    return release + slot + 1

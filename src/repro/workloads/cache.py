@@ -6,6 +6,11 @@ experiment harness regenerates them for every seed of every sweep. The
 :func:`cached_generator` decorator memoizes their pickled results on disk,
 keyed by a canonicalized argument signature.
 
+Each entry's key also folds in a SHA-256 of the decorated generator's
+module source, so editing a builder invalidates every entry it wrote: an
+edited builder is never served a pickle from the old one. A generator
+whose module source cannot be read bypasses the cache.
+
 The cache is **opt-in**: it is active only while the ``REPRO_CACHE_DIR``
 environment variable points at a directory (resolved at call time, so tests
 can flip it per-case). Two safety valves keep cached results faithful:
@@ -27,6 +32,7 @@ import hashlib
 import inspect
 import os
 import pickle
+import sys
 import tempfile
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -99,6 +105,16 @@ def cached_generator(
     def decorate(func: Callable) -> Callable:
         sig = inspect.signature(func)
 
+        @functools.cache
+        def source_digest() -> Optional[str]:
+            # Read on first cached call, not at import: the module file is
+            # only needed while the cache is enabled.
+            try:
+                path = Path(inspect.getfile(sys.modules[func.__module__]))
+                return hashlib.sha256(path.read_bytes()).hexdigest()
+            except (KeyError, TypeError, OSError):
+                return None
+
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
             root = workload_cache_dir()
@@ -115,9 +131,18 @@ def cached_generator(
                 return func(*args, **kwargs)
             if safe is not None and not safe(arguments):
                 return func(*args, **kwargs)
+            source = source_digest()
+            if source is None:  # no source to pin entries to
+                return func(*args, **kwargs)
             digest = hashlib.sha256(
                 repr(
-                    (_SCHEMA_VERSION, func.__module__, func.__qualname__, items)
+                    (
+                        _SCHEMA_VERSION,
+                        source,
+                        func.__module__,
+                        func.__qualname__,
+                        items,
+                    )
                 ).encode()
             ).hexdigest()
             path = root / f"{func.__name__}-{digest[:32]}.wlcache"

@@ -1,0 +1,79 @@
+"""``DAG.depth`` on out-forests: the pointer-doubling path against Kahn."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core import DAG, CycleError, antichain, chain
+from repro.workloads import random_out_forest
+
+from .strategies import out_forests
+
+
+def _assert_paths_agree(dag: DAG) -> None:
+    assert dag.is_out_forest
+    forest, kahn = dag._forest_depth(), dag._kahn_depth()
+    assert forest.dtype == kahn.dtype == np.int64
+    assert np.array_equal(forest, kahn)
+    assert np.array_equal(dag.depth, kahn)
+    assert not dag.depth.flags.writeable
+
+
+@given(out_forests(min_nodes=1, max_nodes=60), st.randoms(use_true_random=False))
+def test_matches_kahn_on_relabelled_forests(dag, random):
+    # The strategy only attaches nodes to lower ids; relabel so parents
+    # may also carry higher ids than their children.
+    perm = list(range(dag.n))
+    random.shuffle(perm)
+    perm = np.array(perm, dtype=np.int64)
+    old_parents = dag.parent_array()
+    parents = np.full(dag.n, -1, dtype=np.int64)
+    has = old_parents >= 0
+    parents[perm[has]] = perm[old_parents[has]]
+    _assert_paths_agree(DAG.from_parents(parents))
+
+
+@given(st.integers(1, 400), st.integers(0, 2**31 - 1))
+def test_matches_kahn_on_random_out_forest(n, seed):
+    _assert_paths_agree(random_out_forest(n, seed=seed))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+def test_all_roots(n):
+    dag = antichain(n)
+    _assert_paths_agree(dag)
+    assert np.array_equal(dag.depth, np.ones(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 3000])
+def test_single_deep_chain(n):
+    _assert_paths_agree(chain(n))
+    # The same chain with every parent carrying the higher id.
+    reverse = DAG.from_parents(np.append(np.arange(1, n), -1))
+    _assert_paths_agree(reverse)
+    assert np.array_equal(reverse.depth, np.arange(n, 0, -1))
+
+
+def test_empty_dag():
+    assert DAG.from_parents([]).depth.shape == (0,)
+
+
+@pytest.mark.parametrize("length", range(2, 51))
+@pytest.mark.parametrize("hanging", [0, 9])
+def test_functional_graph_cycle_raises(length, hanging):
+    """A parent array may close a cycle; nodes on it and every tree hanging
+    off it are unreachable from any root. An acyclic component next to it
+    must not be counted."""
+    rng = np.random.default_rng(length * 100 + hanging)
+    parents = [(i - 1) % length for i in range(length)]
+    for v in range(length, length + hanging):
+        parents.append(int(rng.integers(0, v)))  # onto the cycle or its trees
+    acyclic = len(parents)
+    parents += [-1, acyclic, acyclic + 1]  # a three-node chain
+    perm = rng.permutation(len(parents))
+    relabelled = np.full(len(parents), -1, dtype=np.int64)
+    for v, p in enumerate(parents):
+        relabelled[perm[v]] = -1 if p < 0 else perm[p]
+    with pytest.raises(CycleError, match=rf"\({length + hanging} nodes unreachable\)"):
+        DAG.from_parents(relabelled)

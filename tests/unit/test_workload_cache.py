@@ -149,3 +149,54 @@ class TestDecorator:
         assert make(4, seed=1) == [0, 1, 2, 3]
         assert make(4, seed=1) == [0, 1, 2, 3]
         assert calls == [4]  # second call served from disk
+
+
+class TestSourceHash:
+    """The generator's module source is folded into every entry key."""
+
+    SOURCE = (
+        "from repro.workloads.cache import cached_generator\n"
+        "CALLS = []\n"
+        "@cached_generator\n"
+        "def make(n: int, seed=None):\n"
+        "    CALLS.append(n)\n"
+        "    return list(range(n)){suffix}\n"
+    )
+
+    def _load(self, path, suffix):
+        import importlib
+        import sys
+
+        path.write_text(self.SOURCE.format(suffix=suffix))
+        name = path.stem
+        if name in sys.modules:
+            return importlib.reload(sys.modules[name])
+        return importlib.import_module(name)
+
+    @pytest.fixture
+    def module_path(self, tmp_path, monkeypatch, cache_dir):
+        import sys
+
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        src_dir = tmp_path / "src"
+        src_dir.mkdir()
+        monkeypatch.syspath_prepend(str(src_dir))
+        path = src_dir / "cached_gen_under_test.py"
+        yield path
+        sys.modules.pop(path.stem, None)
+
+    def test_unchanged_source_hits(self, module_path, cache_dir):
+        mod = self._load(module_path, "")
+        assert mod.make(3, seed=1) == [0, 1, 2]
+        mod = self._load(module_path, "")  # re-import, same bytes
+        assert mod.make(3, seed=1) == [0, 1, 2]
+        assert mod.CALLS == []  # served from the first entry
+        assert len(_entries(cache_dir)) == 1
+
+    def test_changed_source_misses(self, module_path, cache_dir):
+        mod = self._load(module_path, "")
+        assert mod.make(3, seed=1) == [0, 1, 2]
+        mod = self._load(module_path, "  # edited")
+        assert mod.make(3, seed=1) == [0, 1, 2]
+        assert mod.CALLS == [3]  # regenerated, not served the old pickle
+        assert len(_entries(cache_dir)) == 2
