@@ -17,7 +17,8 @@ algorithms and analyses need:
 
 Nodes are integers ``0..n-1``. The adjacency is stored twice in CSR form
 (children and parents) as ``int64`` numpy arrays; all derived quantities are
-computed once, on first access, by level-synchronous vectorized passes.
+computed once, on first access, by vectorized passes: pointer doubling over
+the parent array for out-forests, one pass per depth level for general DAGs.
 Instances are immutable: every combinator returns a new DAG.
 """
 
@@ -241,7 +242,8 @@ class DAG:
         return int(self.child_indices.size)
 
     # ------------------------------------------------------------------
-    # Depth / height / span (level-synchronous vectorized passes)
+    # Depth / height / span (pointer doubling on out-forests, level
+    # passes on general DAGs)
     # ------------------------------------------------------------------
 
     @cached_property
@@ -290,8 +292,7 @@ class DAG:
         on, or hangs below, a cycle (a functional graph's only other shape).
         """
         n = self.n
-        up = np.full(n, -1, dtype=_INT)
-        up[self.indegree == 1] = self.parent_indices
+        up = self.parent_array().copy()
         depth = np.ones(n, dtype=_INT)
         live = np.nonzero(up >= 0)[0]
         for _ in range(n.bit_length() + 1):
@@ -309,6 +310,15 @@ class DAG:
     @cached_property
     def height(self) -> Array:
         """``H(j)``: nodes on the longest j→leaf path; leaves have height 1.
+
+        Out-forests resolve by pointer doubling over the parent array,
+        O(log span) vector passes; general DAGs take one vectorized pass
+        per depth level.
+        """
+        return self._forest_height() if self.is_out_forest else self._level_height()
+
+    def _level_height(self) -> Array:
+        """:attr:`height` of a general DAG, one vectorized pass per level.
 
         A node's children always have strictly larger depth, so iterating
         depth levels from deepest to shallowest is a valid reverse
@@ -328,6 +338,28 @@ class DAG:
         for block in blocks:
             kids, counts = csr_gather(self.child_indptr, self.child_indices, block)
             height[block] = 1 + segment_max(height[kids], counts, empty=0)
+        height.setflags(write=False)
+        return height
+
+    def _forest_height(self) -> Array:
+        """:attr:`height` of an out-forest.
+
+        ``best[v]`` is the deepest :attr:`depth` among ``v``'s descendants
+        less than ``2**k`` edges below it, and ``up[v]`` is ``v``'s
+        ``2**k``-th ancestor. Each round pushes every live ``best`` to its
+        jump target and doubles the jump, so after O(log span) rounds
+        ``best[v]`` is the deepest node in ``v``'s subtree.
+        """
+        depth = self.depth
+        up = self.parent_array().copy()
+        best = depth.copy()
+        live = np.nonzero(up >= 0)[0]
+        while live.size:
+            jump = up[live]
+            np.maximum.at(best, jump, best[live])
+            up[live] = up[jump]
+            live = live[up[live] >= 0]
+        height = best - depth + 1
         height.setflags(write=False)
         return height
 
@@ -460,10 +492,8 @@ class DAG:
         """
         self.require_out_forest()
         parents = np.full(self.n, -1, dtype=_INT)
-        has_parent = self.indegree == 1
-        parents[has_parent] = self.parent_indices[
-            self.parent_indptr[np.nonzero(has_parent)[0]]
-        ]
+        # Every parent CSR row holds at most one entry, in node order.
+        parents[self.indegree == 1] = self.parent_indices
         parents.setflags(write=False)
         return parents
 

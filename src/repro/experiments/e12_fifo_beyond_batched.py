@@ -87,10 +87,9 @@ def run(
         paper_artifact="Section 6 closing remark + Conclusion open question 1",
     )
     rng = np.random.default_rng(seed)
-    # Build every semi-batched instance up front, then run them through the
-    # harness's batched sweep path (run_trials) — one per m, but routed via
-    # simulate_batch so the Monte-Carlo engine counters/backends apply
-    # uniformly across experiments.
+    # Build every semi-batched instance up front, then run each through the
+    # harness's sweep path (run_trials) — one single-instance sweep per m,
+    # which run_trials hands to simulate.
     built = []
     for m in ms:
         depth = 2 * m

@@ -40,8 +40,7 @@ def run(
         adv = build_fifo_adversary(m, n_jobs=jobs_per_m * m)
         for f in factors:
             # Each (m, f) pair has its own processor count, so each is its
-            # own (single-instance) run_trials sweep — still the batched
-            # engine path, shared with the Monte-Carlo experiments.
+            # own single-instance run_trials sweep, run through simulate.
             schedule = run_trials([adv.instance], f * m, FIFOScheduler)[0]
             schedule.validate()
             ratio = schedule.max_flow / adv.opt_upper_bound

@@ -51,9 +51,8 @@ def run(
         adv = build_fifo_adversary(m, n_jobs=jobs_per_m * m)
         ref = OptReference.witness(adv.opt_witness)
         for name, make in policies:
-            # One frozen instance per (m, policy): routed through
-            # run_trials so eligible tie-breaks replay on the batched
-            # engine (random tie-breaks fall back per instance inside it).
+            # One frozen instance per (m, policy): a single-instance
+            # run_trials sweep, which replays it through simulate.
             schedule = run_trials(
                 [adv.instance], m, lambda mk=make: FIFOScheduler(mk())
             )[0]

@@ -286,19 +286,47 @@ def _run_trials_chunk(task: tuple) -> tuple[list, Any]:
     """
     import numpy as np
 
-    from ..core import engine_stats_snapshot, simulate_batch
+    from ..core import engine_stats_snapshot
 
     instances, m, scheduler_factory, availability, use_macro_steps = task
     before = engine_stats_snapshot()
-    schedules = simulate_batch(
-        instances,
-        m,
-        scheduler_factory(),
-        availability=availability,
-        use_macro_steps=use_macro_steps,
+    schedules = _simulate_chunk(
+        instances, m, scheduler_factory(), availability, use_macro_steps
     )
     completions = [np.concatenate(s.completion) for s in schedules]
     return completions, engine_stats_snapshot().delta(before)
+
+
+def _simulate_chunk(
+    instances: Sequence,
+    m: int,
+    scheduler: Any,
+    availability: Any,
+    use_macro_steps: Optional[bool],
+) -> list:
+    """Run one :func:`run_trials` chunk. A lone instance goes straight to
+    :func:`~repro.core.simulate`, which skips packing a batch of one;
+    larger chunks advance in lockstep through
+    :func:`~repro.core.simulate_batch`."""
+    from ..core import simulate, simulate_batch
+
+    if len(instances) == 1:
+        return [
+            simulate(
+                instances[0],
+                m,
+                scheduler,
+                availability=None if availability is None else availability[0],
+                use_macro_steps=use_macro_steps,
+            )
+        ]
+    return simulate_batch(
+        instances,
+        m,
+        scheduler,
+        availability=availability,
+        use_macro_steps=use_macro_steps,
+    )
 
 
 def _chunk_by_nodes(instances: Sequence, budget: int) -> list[tuple[int, int]]:
@@ -353,7 +381,8 @@ def run_trials(
     one Python engine loop — or one process-pool dispatch — per trial.
     Ineligible trials (no priority kernel, scheduler not
     ``batch_capable``) fall back to per-instance runs inside
-    ``simulate_batch`` itself.
+    ``simulate_batch`` itself, and a chunk holding a single instance runs
+    through :func:`~repro.core.simulate` directly.
 
     Chunking: the sweep is split into contiguous chunks of at most
     ``batch_node_budget`` total subjobs (bounding each batch's working
@@ -369,7 +398,7 @@ def run_trials(
     Worker-run chunks rebuild schedules in the parent, so those carry
     ``engine_stats None``; in-process chunks keep their batch stats.
     """
-    from ..core import Schedule, accumulate_engine_stats, simulate_batch
+    from ..core import Schedule, accumulate_engine_stats
 
     insts = list(instances)
     if not insts:
@@ -423,12 +452,12 @@ def run_trials(
     schedules = []
     for start, stop in spans:
         schedules.extend(
-            simulate_batch(
+            _simulate_chunk(
                 insts[start:stop],
                 m,
                 scheduler_factory(),
-                availability=chunk_avail(start, stop),
-                use_macro_steps=use_macro_steps,
+                chunk_avail(start, stop),
+                use_macro_steps,
             )
         )
     return schedules

@@ -149,7 +149,8 @@ class FIFOScheduler(Scheduler):
         self._instance = instance
 
     def on_job_arrival(self, t: int, job_id: int, job: Job) -> None:
-        self._heaps[job_id] = self._make_queue(job)
+        # The ready queue is built on the job's first delivery: fast-forwarded
+        # runs never deliver, and ``resync`` rebuilds every queue anyway.
         # Arrivals come in release order, which is id order except for
         # same-time ties — append when possible, insort otherwise.
         if not self._unfinished or job_id > self._unfinished[-1]:
@@ -159,7 +160,8 @@ class FIFOScheduler(Scheduler):
 
     def on_nodes_ready(self, t: int, job_id: int, nodes: Array) -> None:
         heap = self._heaps[job_id]
-        assert heap is not None, "ready nodes for a job that never arrived"
+        if heap is None:
+            heap = self._heaps[job_id] = self._make_queue(self._instance[job_id])
         heap.push_all(nodes)
 
     def resync(self, t: int, state: EngineState) -> None:
@@ -187,7 +189,8 @@ class FIFOScheduler(Scheduler):
             if capacity <= 0:
                 break
             heap = self._heaps[job_id]
-            assert heap is not None, "unfinished job without a heap"
+            if heap is None:  # nothing delivered yet
+                continue
             taken = heap.pop_up_to(capacity)
             capacity -= len(taken)
             selection.extend((job_id, node) for node in taken)

@@ -149,7 +149,12 @@ def test_ticks_are_json_lines(tmp_path):
 
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
 def test_sigterm_drains_gracefully(tmp_path):
+    # A stream far longer than the test waits, so SIGTERM always lands
+    # mid-stream; the first checkpoint shows the run is past startup and
+    # admitting jobs.
+    n_jobs = 1_000_000
     out = tmp_path / "drained.json"
+    ckpt = tmp_path / "drain.ckpt"
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -166,12 +171,16 @@ def test_sigterm_drains_gracefully(tmp_path):
             "--seed",
             "7",
             "--jobs",
-            "4000",
+            str(n_jobs),
             "--tick-every",
             "0",
             "--quiet",
             "--metrics-out",
             str(out),
+            "--checkpoint",
+            str(ckpt),
+            "--checkpoint-every",
+            "25",
         ],
         env=_env(),
         cwd=REPO_ROOT,
@@ -179,7 +188,18 @@ def test_sigterm_drains_gracefully(tmp_path):
         stderr=subprocess.PIPE,
         text=True,
     )
-    time.sleep(2.0)  # let it get past startup and admit some jobs
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline and proc.poll() is None:
+        if ckpt.exists():
+            break
+        time.sleep(0.05)
+    if proc.poll() is not None:
+        _, stderr = proc.communicate()
+        pytest.fail(
+            f"serve exited (status {proc.returncode}) before SIGTERM was "
+            f"sent:\n{stderr}"
+        )
+    assert ckpt.exists(), "no checkpoint appeared before the deadline"
     proc.send_signal(signal.SIGTERM)
     _, stderr = proc.communicate(timeout=120)
     assert proc.returncode == 0, stderr
@@ -187,5 +207,5 @@ def test_sigterm_drains_gracefully(tmp_path):
     summary = json.loads(out.read_text())
     assert summary["drained"] is True
     # Drain stops admission: fewer jobs admitted than the stream holds.
-    assert summary["jobs_admitted"] < 4000
+    assert summary["jobs_admitted"] < n_jobs
     assert summary["jobs_completed"] == summary["jobs_admitted"]

@@ -1,12 +1,13 @@
-"""``DAG.depth`` on out-forests: the pointer-doubling path against Kahn."""
+"""``DAG.depth`` and ``DAG.height`` on out-forests: the pointer-doubling
+paths against Kahn and the per-level height pass."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import DAG, CycleError, antichain, chain
-from repro.workloads import random_out_forest
+from repro.core import DAG, CycleError, antichain, chain, spider
+from repro.workloads import build_fifo_adversary, random_out_forest, random_series_parallel
 
 from .strategies import out_forests
 
@@ -18,6 +19,11 @@ def _assert_paths_agree(dag: DAG) -> None:
     assert np.array_equal(forest, kahn)
     assert np.array_equal(dag.depth, kahn)
     assert not dag.depth.flags.writeable
+    forest_h, level_h = dag._forest_height(), dag._level_height()
+    assert forest_h.dtype == level_h.dtype == np.int64
+    assert np.array_equal(forest_h, level_h)
+    assert np.array_equal(dag.height, level_h)
+    assert not dag.height.flags.writeable
 
 
 @given(out_forests(min_nodes=1, max_nodes=60), st.randoms(use_true_random=False))
@@ -57,6 +63,41 @@ def test_single_deep_chain(n):
 
 def test_empty_dag():
     assert DAG.from_parents([]).depth.shape == (0,)
+
+
+@pytest.mark.parametrize("legs, leg_length", [(1, 1), (3, 5), (16, 200)])
+def test_spider(legs, leg_length):
+    dag = spider(legs, leg_length)
+    _assert_paths_agree(dag)
+    assert dag.height[0] == leg_length + 1
+
+
+@pytest.mark.parametrize("m", [2, 5, 16])
+def test_adversarial_comb(m):
+    """Section 4 adversary jobs: a handle of layer keys, each parenting the
+    next layer, whose other subjobs are leaf teeth."""
+    adv = build_fifo_adversary(m, n_jobs=2 * m)
+    for job in adv.instance:
+        _assert_paths_agree(job.dag)
+
+
+def _longest_path_heights(dag: DAG) -> list[int]:
+    height = [0] * dag.n
+    for v in reversed(dag.topological_order.tolist()):
+        height[v] = 1 + max((height[c] for c in dag.children(v)), default=0)
+    return height
+
+
+def test_general_dag_takes_level_pass(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("a general DAG reached _forest_height")
+
+    monkeypatch.setattr(DAG, "_forest_height", forbidden)
+    diamond = DAG(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    sp = random_series_parallel(60, seed=3)
+    assert not diamond.is_out_forest and not sp.is_out_forest
+    assert diamond.height.tolist() == [3, 2, 2, 1]
+    assert sp.height.tolist() == _longest_path_heights(sp)
 
 
 @pytest.mark.parametrize("length", range(2, 51))

@@ -10,7 +10,9 @@ from repro.schedulers import (
     FIFOScheduler,
     LongestPathTieBreak,
     RandomTieBreak,
+    ReverseTieBreak,
 )
+from repro.workloads import layered_tree
 
 
 def _ready_at(schedule, t):
@@ -112,3 +114,17 @@ class TestFIFOBehaviour:
         assert all(
             np.array_equal(a, b) for a, b in zip(s1.completion, s2.completion)
         )
+
+
+class TestLazyReadyQueues:
+    @pytest.mark.parametrize("tie_break", [ArbitraryTieBreak, ReverseTieBreak])
+    def test_fast_forwarded_run_builds_no_queue(self, tie_break):
+        # m=4 keeps the packed rectangles in the forced regime: the engine
+        # fast-forwards from the first step and never resyncs, so only the
+        # job whose roots were delivered at t=0 ever gets a ready queue.
+        jobs = [Job(layered_tree([4] * 20, seed=0), 5 * i) for i in range(8)]
+        fifo = FIFOScheduler(tie_break())
+        st = simulate(Instance(jobs), 4, fifo).engine_stats
+        assert st.fast_forwarded_steps > 0
+        assert st.resyncs == 0 and st.select_calls == 0
+        assert fifo._heaps[1:] == [None] * 7

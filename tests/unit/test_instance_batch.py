@@ -18,7 +18,7 @@ from repro.core import (
     simulate_batch,
 )
 from repro.experiments import run_trials
-from repro.schedulers import FIFOScheduler, LongestPathTieBreak
+from repro.schedulers import FIFOScheduler, LongestPathTieBreak, LPFScheduler
 from repro.workloads import map_reduce_dag, random_out_forest
 
 
@@ -209,6 +209,19 @@ class TestRunTrials:
 
     def test_empty_input(self):
         assert run_trials([], 2, _fifo_factory) == []
+
+    @pytest.mark.parametrize("availability", [None, [1, 0, 2, 1]])
+    @pytest.mark.parametrize("factory", [_fifo_factory, LPFScheduler])
+    def test_single_instance_runs_through_simulate(self, factory, availability):
+        inst = _forest_instance(7, n_jobs=4)
+        (sched,) = run_trials([inst], 2, factory, availability=availability)
+        ref = simulate(inst, 2, factory(), availability=availability)
+        assert sched.engine_stats.batch_steps == 0
+        assert sched.engine_stats.steps == ref.engine_stats.steps
+        assert (
+            np.concatenate(sched.completion).tobytes()
+            == np.concatenate(ref.completion).tobytes()
+        )
 
     def test_per_instance_availability_list(self):
         trials = self._trials(5)
