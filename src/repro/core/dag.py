@@ -48,6 +48,23 @@ __all__ = [
 _INT = np.int64
 
 
+def _integer_ids(values: Any, what: str) -> Array:
+    """``values`` as an ``int64`` array of the same shape. A non-empty input
+    of any non-integer dtype raises :class:`GraphError` rather than
+    truncating."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise GraphError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(_INT, copy=False)
+
+
+def _indptr(counts: Array) -> Array:
+    """CSR row pointer for per-row ``counts``."""
+    indptr = np.zeros(counts.size + 1, dtype=_INT)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
 @dataclass(frozen=True)
 class ChainRuns:
     """Chain-run decomposition of a DAG (engine macro-stepping input).
@@ -104,6 +121,9 @@ class DAG:
     -----
     Construction is O(n + e log e); cycle detection runs eagerly so that a
     ``DAG`` object is always valid by the time user code holds it.
+    :meth:`from_parents` builds both CSRs from the parent array directly
+    (one stable argsort, no edge-pair sorts). Non-integer ids raise
+    :class:`GraphError` instead of being truncated.
     """
 
     __slots__ = (
@@ -119,17 +139,11 @@ class DAG:
         self, n: int, edges: Iterable[tuple[int, int]] | Array = ()
     ) -> None:
         self.n = check_nonnegative_int(n, "n")
-        if isinstance(edges, np.ndarray):
-            # Fast path: an (e, 2) integer array avoids the Python-tuple
-            # round trip (matters when freezing multi-million-node DAGs).
-            arr = np.ascontiguousarray(edges, dtype=_INT)
-        else:
-            edge_list = list(edges)
-            arr = (
-                np.asarray(edge_list, dtype=_INT)
-                if edge_list
-                else np.empty((0, 2), dtype=_INT)
-            )
+        # An (e, 2) integer array skips the Python-tuple round trip (matters
+        # when freezing multi-million-node DAGs).
+        arr = _integer_ids(
+            edges if isinstance(edges, np.ndarray) else list(edges), "edge endpoints"
+        )
         if arr.size:
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise GraphError("edges must be (u, v) pairs")
@@ -158,15 +172,40 @@ class DAG:
         ``parents[i]`` is the (single) parent of node ``i``, or ``-1`` for a
         root. This is the natural encoding for trees and is used by every
         tree workload generator.
+
+        Both CSRs come straight from the array: a parent array cannot hold
+        a duplicate edge, so the pair sorts of the general constructor are
+        skipped. The child rows are a stable argsort of the parent column
+        (children ascend within each row); the parent rows are the non-root
+        mask. The result is identical to ``DAG(n, edges)`` on the same edges.
         """
-        parr = as_int_array(parents)
+        parr = _integer_ids(parents, "parent ids")
+        if parr.ndim != 1:
+            raise GraphError(f"parents must be a 1-D array, got shape {parr.shape}")
         n = parr.size
-        if parr.size and (parr.max() >= n or parr.min() < -1):
+        if n and (parr.max() >= n or parr.min() < -1):
             raise GraphError("parent id out of range")
-        child_mask = parr >= 0
-        children = np.nonzero(child_mask)[0]
-        edges = np.stack([parr[child_mask], children], axis=1)
-        return cls(n, edges)
+        has_parent = parr >= 0
+        kids = np.flatnonzero(has_parent)
+        pcol = parr[has_parent]
+        if np.any(pcol == kids):
+            raise CycleError("self-loop edge found")
+        dag = cls.__new__(cls)
+        dag.n = n
+        dag.child_indptr = _indptr(np.bincount(pcol, minlength=n))
+        dag.child_indices = kids[np.argsort(pcol, kind="stable")]
+        dag.parent_indptr = _indptr(has_parent)
+        dag.parent_indices = pcol
+        for arr in (
+            dag.child_indptr,
+            dag.child_indices,
+            dag.parent_indptr,
+            dag.parent_indices,
+        ):
+            arr.setflags(write=False)
+        # Eager acyclicity check, as in __init__.
+        _ = dag.depth
+        return dag
 
     @classmethod
     def from_networkx(cls, graph: Any) -> "DAG":
@@ -459,8 +498,7 @@ class DAG:
             head = nxt
         heads, run_id = np.unique(head, return_inverse=True)
         run_id = run_id.astype(_INT, copy=False)
-        indptr = np.zeros(heads.size + 1, dtype=_INT)
-        np.cumsum(np.bincount(run_id, minlength=heads.size), out=indptr[1:])
+        indptr = _indptr(np.bincount(run_id, minlength=heads.size))
         pos = self.depth - self.depth[head]
         index_of = indptr[run_id] + pos
         order = np.empty(n, dtype=_INT)
@@ -511,8 +549,7 @@ class DAG:
         ``offsets[i]:offsets[i+1]`` slices out component ``i``.
         """
         sizes = np.array([d.n for d in dags], dtype=_INT)
-        offsets = np.zeros(len(dags) + 1, dtype=_INT)
-        np.cumsum(sizes, out=offsets[1:])
+        offsets = _indptr(sizes)
         parts: list[Array] = []
         for off, d in zip(offsets[:-1].tolist(), dags):
             if not d.child_indices.size:

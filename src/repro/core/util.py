@@ -19,7 +19,6 @@ __all__ = [
     "as_int_array",
     "build_csr",
     "csr_gather",
-    "csr_counts",
     "segment_max",
     "repeat_by_counts",
     "check_nonnegative_int",
@@ -81,11 +80,6 @@ def build_csr(
     return indptr, indices
 
 
-def csr_counts(indptr: Array, nodes: Array) -> Array:
-    """Per-node row lengths for the given ``nodes``."""
-    return indptr[nodes + 1] - indptr[nodes]
-
-
 def csr_gather(
     indptr: Array, indices: Array, nodes: Array
 ) -> tuple[Array, Array]:
@@ -99,18 +93,15 @@ def csr_gather(
     graph algorithms; it avoids a Python-level loop over frontier nodes.
     """
     nodes = as_int_array(nodes)
-    counts = csr_counts(indptr, nodes)
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=_INT), counts
-    # For output slot k, find which node it belongs to and its offset within
-    # that node's row, then index straight into `indices`.
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    node_for_slot = np.repeat(np.arange(nodes.size, dtype=_INT), counts)
-    within = np.arange(total, dtype=_INT) - starts[node_for_slot]
-    values = indices[indptr[nodes][node_for_slot] + within]
-    return values, counts
+    # Output slot k of row i reads indices[starts[i] + (k - first[i])],
+    # where first[i] = cumsum(counts)[i] - counts[i] is the row's first slot.
+    shift = (starts - (np.cumsum(counts) - counts)).repeat(counts)
+    return indices[np.arange(total, dtype=_INT) + shift], counts
 
 
 def repeat_by_counts(values: Array, counts: Array) -> Array:

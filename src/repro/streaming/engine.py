@@ -121,9 +121,12 @@ def _encode_priorities(dag: Any, release: int, tie_break: TieBreak) -> Optional[
             "streaming policies require a priority kernel "
             f"({type(tie_break).__name__} returned None)"
         )
-    ranks = np.unique(np.asarray(kernel, dtype=_INT), return_inverse=True)[1]
-    if int(ranks.max(initial=0)) == 0:
+    prio = np.asarray(kernel, dtype=_INT)
+    # Cheap O(n) constancy scan first, as in simulate: a constant kernel
+    # encodes to the identity, so it skips the dense-ranking sort.
+    if not prio.size or int(prio.min()) == int(prio.max()):
         return None
+    ranks = np.unique(prio, return_inverse=True)[1]
     n = int(dag.n)
     return ranks.astype(_INT) * _INT(n) + np.arange(n, dtype=_INT)
 

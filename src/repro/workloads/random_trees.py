@@ -45,10 +45,12 @@ def random_attachment_tree(
         raise ConfigurationError("n must be >= 1")
     rng = _rng(seed)
     parents = np.full(n, -1, dtype=np.int64)
-    for i in range(1, n):
-        if bias == 0.0:
-            parents[i] = rng.integers(0, i)
-        else:
+    if bias == 0.0:
+        # One vector draw: the same values, and the same generator state
+        # afterwards, as drawing rng.integers(0, i) for i = 1..n-1 in turn.
+        parents[1:] = rng.integers(0, np.arange(1, n))
+    else:
+        for i in range(1, n):
             weights = np.arange(1, i + 1, dtype=np.float64) ** bias
             weights /= weights.sum()
             parents[i] = rng.choice(i, p=weights)

@@ -91,6 +91,28 @@ class TestFromParents:
         with pytest.raises(CycleError):
             DAG.from_parents([1, 0])
 
+    def test_empty_list(self):
+        assert DAG.from_parents([]).n == 0
+
+    @pytest.mark.parametrize(
+        "parents",
+        [[-1, 0.9, 1.5], np.array([-1.0, 0.0]), np.array([False]), [-1, "0"]],
+    )
+    def test_non_integer_ids_rejected(self, parents):
+        with pytest.raises(GraphError, match="integers"):
+            DAG.from_parents(parents)
+
+    @pytest.mark.parametrize("parents", [[[-1, 0], [1, 2]], np.int64(-1)])
+    def test_not_one_dimensional_rejected(self, parents):
+        with pytest.raises(GraphError, match="1-D"):
+            DAG.from_parents(parents)
+
+    def test_non_integer_edge_rejected(self):
+        with pytest.raises(GraphError, match="integers"):
+            DAG(3, [(0, 1.7), (0, 2)])
+        with pytest.raises(GraphError, match="integers"):
+            DAG(3, np.array([[0.0, 1.0]]))
+
 
 class TestNetworkx:
     def test_roundtrip(self, small_tree):

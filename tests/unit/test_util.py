@@ -7,7 +7,6 @@ from repro.core.util import (
     as_int_array,
     build_csr,
     check_nonnegative_int,
-    csr_counts,
     csr_gather,
     repeat_by_counts,
     segment_max,
@@ -92,8 +91,9 @@ class TestCsrGather:
         )
 
     def test_counts(self, csr):
-        indptr, _ = csr
-        assert csr_counts(indptr, np.array([0, 1, 2, 3])).tolist() == [2, 1, 0, 3]
+        indptr, indices = csr
+        _, counts = csr_gather(indptr, indices, np.array([0, 1, 2, 3]))
+        assert counts.tolist() == [2, 1, 0, 3]
 
     def test_gather_all(self, csr):
         indptr, indices = csr

@@ -42,6 +42,19 @@ class TestRandomAttachment:
         d2 = random_attachment_tree(10, rng)  # advances state
         assert d1.n == d2.n == 10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_scalar_draw_loop(self, n, seed):
+        """The one-call draw gives the parents, and leaves the generator in
+        the state, that drawing each node's parent in turn would."""
+        rng = np.random.default_rng(seed)
+        expected = [-1] + [int(rng.integers(0, i)) for i in range(1, n)]
+        expected_next = int(rng.integers(0, 2**62))
+        rng = np.random.default_rng(seed)
+        dag = random_attachment_tree(n, rng)
+        assert dag.parent_array().tolist() == expected
+        assert int(rng.integers(0, 2**62)) == expected_next
+
 
 class TestRandomBinary:
     def test_shape(self):
