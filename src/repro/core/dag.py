@@ -178,6 +178,9 @@ class DAG:
         skipped. The child rows are a stable argsort of the parent column
         (children ascend within each row); the parent rows are the non-root
         mask. The result is identical to ``DAG(n, edges)`` on the same edges.
+        A cycle raises :class:`CycleError` through the eager ``depth`` pass,
+        which is skipped when every parent id is below its child's id (such
+        an array cannot hold a cycle).
         """
         parr = _integer_ids(parents, "parent ids")
         if parr.ndim != 1:
@@ -203,8 +206,12 @@ class DAG:
             dag.parent_indices,
         ):
             arr.setflags(write=False)
-        # Eager acyclicity check, as in __init__.
-        _ = dag.depth
+        # Eager acyclicity check, as in __init__ — unless every parent id is
+        # smaller than its child's: ids then follow a topological order, so
+        # the array cannot hold a cycle (the shape every tree generator and
+        # the adversary builder produce).
+        if not bool((pcol < kids).all()):
+            _ = dag.depth
         return dag
 
     @classmethod

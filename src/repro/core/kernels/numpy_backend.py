@@ -219,7 +219,7 @@ def batch_select_order(prio: Array, job_of_node: Array) -> tuple[Array, Array]:
     """Batch-global selection order and its inverse rank permutation.
 
     Instance-major because batch-global job ids are; within a job,
-    (priority, id) — exactly the per-instance encoded-frontier order.
+    (priority, id) — the selection order of ``simulate``'s rank frontier.
     lexsort is stable, so ties keep ascending id.
     """
     order = np.lexsort((prio, job_of_node)).astype(_INT)

@@ -32,10 +32,14 @@ On top of that sits a *steady-state fast path* for the packed-rectangle
 regime of Lemmas 5.1/5.5: when a scheduler declares the FIFO frontier
 contract (:attr:`Scheduler.supports_fast_forward`) and the ready frontier
 of a prefix of jobs fits the machine exactly, the selection is *forced* —
-no tie-break can change it — so the engine commits whole layers and
-advances many steps per scheduler dispatch, resynchronizing the scheduler
-(:meth:`Scheduler.resync`) only when the forced regime ends. Schedules are
-bit-identical to the reference per-node loop (kept as
+no tie-break can change it — so the engine commits it without dispatching
+and advances many steps per scheduler dispatch, resynchronizing the
+scheduler (:meth:`Scheduler.resync`) only when the forced regime ends. The
+fast path keeps the whole ready set as ONE sorted array of *selection
+ranks* — ``(job, priority, id)`` order, as :func:`simulate_batch` does —
+so with a priority kernel every step, truncated mid-job or not, is a
+prefix (or, for a dynamic job order, a few segments) of that array.
+Schedules are bit-identical to the reference per-node loop (kept as
 :func:`_simulate_reference` and enforced by the differential-equivalence
 tests).
 
@@ -55,15 +59,16 @@ from __future__ import annotations
 
 import abc
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Optional, Protocol, Sequence, Union
+from typing import Optional, Protocol, Sequence, Union
 
 import numpy as np
 
 from .availability import AvailabilityLike, AvailabilityTrace, as_trace
 from .exceptions import ConfigurationError, SchedulerProtocolError, SimulationError
-from .instance import Instance, InstanceBatch, pack_instances
+from .instance import FlatChainRuns, Instance, InstanceBatch, pack_instances
 from .job import Job
 from .kernels import get_backend
 from .schedule import Schedule
@@ -207,8 +212,9 @@ class Scheduler(abc.ABC):
         :attr:`supports_fast_forward` is True. Returning an array extends
         the forced-frontier fast path to *truncated* steps: when capacity
         runs out mid-job the engine itself takes the priority-best ready
-        subjobs of that job via one stable argsort, so :meth:`select` (and
-        :meth:`resync`) are never dispatched at all. The array must order
+        subjobs of that job (its ready set is kept sorted by selection
+        rank), so :meth:`select` (and :meth:`resync`) are never dispatched
+        at all. The array must order
         every job's nodes exactly as the scheduler's own tie-break would;
         returning ``None`` (the default) keeps the job-boundary-only fast
         path.
@@ -372,6 +378,22 @@ class EngineStats:
         Total time steps covered by epoch macro-commits (each also
         counts into ``stream_steps``/``steps``, so throughput stays
         comparable across paths).
+    fast_path_exit:
+        Dispatched (``select``) steps of :func:`simulate` keyed by why the
+        fast path did not serve them: ``observer`` or ``faults`` (a hook
+        that must see every step), ``impure_tiebreak`` (the scheduler's
+        tie-break is impure, so it declines the fast-forward contract),
+        ``select_only`` (any other scheduler without the contract) and
+        ``no_kernel_truncation`` (a fast-forward scheduler without a
+        priority kernel hit a mid-job truncation). The values sum to
+        ``select_calls`` over :func:`simulate` runs.
+    macro_abort:
+        Macro-step candidates of :func:`simulate` (forced whole-selection
+        steps on a macro-safe run) that committed one step only, keyed by
+        the bound that stopped them: ``arrival`` (a job arrives next
+        step), ``chain_end`` (a selected node is a leaf), ``not_chain`` (a
+        selected node has two or more children) or ``trace`` (the
+        availability trace changes next step).
     """
 
     steps: int = 0
@@ -394,6 +416,8 @@ class EngineStats:
     stream_arena_steps: int = 0
     stream_epoch_steps: int = 0
     stream_epoch_compressed: int = 0
+    fast_path_exit: dict[str, int] = field(default_factory=dict)
+    macro_abort: dict[str, int] = field(default_factory=dict)
 
     @property
     def ns_per_subjob(self) -> float:
@@ -437,10 +461,13 @@ class EngineStats:
                 if not self.backend or self.backend == other_backend
                 else "mixed"
             )
-        for kname, count in getattr(other, "kernel_dispatches", {}).items():
-            self.kernel_dispatches[kname] = (
-                self.kernel_dispatches.get(kname, 0) + count
-            )
+        for mine, theirs in (
+            (self.kernel_dispatches, getattr(other, "kernel_dispatches", {})),
+            (self.fast_path_exit, getattr(other, "fast_path_exit", {})),
+            (self.macro_abort, getattr(other, "macro_abort", {})),
+        ):
+            for key, count in theirs.items():
+                mine[key] = mine.get(key, 0) + count
         self.stream_steps += getattr(other, "stream_steps", 0)
         self.stream_retired += getattr(other, "stream_retired", 0)
         self.stream_shed += getattr(other, "stream_shed", 0)
@@ -457,12 +484,15 @@ class EngineStats:
             for bucket, count in self.batch_size_histogram.items()
             if count != earlier.batch_size_histogram.get(bucket, 0)
         }
-        earlier_kd = getattr(earlier, "kernel_dispatches", {})
-        kd = {
-            kname: count - earlier_kd.get(kname, 0)
-            for kname, count in self.kernel_dispatches.items()
-            if count != earlier_kd.get(kname, 0)
-        }
+
+        def diff(name: str) -> dict[str, int]:
+            before = getattr(earlier, name, {})
+            return {
+                key: count - before.get(key, 0)
+                for key, count in getattr(self, name).items()
+                if count != before.get(key, 0)
+            }
+
         return EngineStats(
             steps=self.steps - earlier.steps,
             fast_forwarded_steps=self.fast_forwarded_steps
@@ -478,7 +508,7 @@ class EngineStats:
             fallback_runs=self.fallback_runs - earlier.fallback_runs,
             batch_size_histogram=hist,
             backend=self.backend,
-            kernel_dispatches=kd,
+            kernel_dispatches=diff("kernel_dispatches"),
             stream_steps=self.stream_steps - getattr(earlier, "stream_steps", 0),
             stream_retired=self.stream_retired
             - getattr(earlier, "stream_retired", 0),
@@ -489,6 +519,8 @@ class EngineStats:
             - getattr(earlier, "stream_epoch_steps", 0),
             stream_epoch_compressed=self.stream_epoch_compressed
             - getattr(earlier, "stream_epoch_compressed", 0),
+            fast_path_exit=diff("fast_path_exit"),
+            macro_abort=diff("macro_abort"),
         )
 
     def record_batch_step(self, n_active: int) -> None:
@@ -529,12 +561,14 @@ class EngineStats:
             )
         if self.backend:
             text += f" backend={self.backend}"
-        if self.kernel_dispatches:
-            dispatches = " ".join(
-                f"{kname}:{self.kernel_dispatches[kname]}"
-                for kname in sorted(self.kernel_dispatches)
-            )
-            text += f" kernels[{dispatches}]"
+        for label, counts in (
+            ("kernels", self.kernel_dispatches),
+            ("fast_path_exit", self.fast_path_exit),
+            ("macro_abort", self.macro_abort),
+        ):
+            if counts:
+                items = " ".join(f"{key}:{counts[key]}" for key in sorted(counts))
+                text += f" {label}[{items}]"
         if self.stream_steps or self.stream_retired or self.stream_shed:
             text += (
                 f" stream_steps={self.stream_steps} "
@@ -563,6 +597,8 @@ def engine_stats_snapshot() -> EngineStats:
         _GLOBAL_STATS,
         batch_size_histogram=dict(_GLOBAL_STATS.batch_size_histogram),
         kernel_dispatches=dict(_GLOBAL_STATS.kernel_dispatches),
+        fast_path_exit=dict(_GLOBAL_STATS.fast_path_exit),
+        macro_abort=dict(_GLOBAL_STATS.macro_abort),
     )
 
 
@@ -608,7 +644,6 @@ class EngineState:
         self.ready_mask = np.zeros(n, dtype=bool)
         self.completion_flat = np.zeros(n, dtype=_INT)
         self.unfinished_counts = np.diff(flat.offsets)
-        self.ready_per_job = np.zeros(len(instance), dtype=_INT)
         self.released = np.zeros(len(instance), dtype=bool)
 
     # -- per-job accessors (compatibility with the per-job layout) --------
@@ -739,6 +774,21 @@ def simulate(
 ) -> Schedule:
     """Run ``scheduler`` on ``instance`` with ``m`` processors to completion.
 
+    Each step either runs on the *fast path* or dispatches
+    :meth:`Scheduler.select`. The fast path needs the FIFO frontier
+    contract (:attr:`Scheduler.supports_fast_forward`), no observer and no
+    fault injector. It keeps the ready set as one ascending array of
+    selection ranks, ``(job, kernel priority, id)`` order from
+    :meth:`Scheduler.frontier_priorities` (gid order for a constant or
+    missing kernel), and takes the ``m_t`` best: a prefix of the array, or
+    whole per-job segments in :meth:`Scheduler.fast_path_job_order` order
+    for a :attr:`Scheduler.dynamic_job_order` scheduler. A cut inside a job
+    is resolved by the kernel; without one that step is dispatched (after a
+    :meth:`Scheduler.resync`). A selection that ends on a job boundary is a
+    macro-step candidate (see :attr:`Scheduler.macro_step_safe`). Why
+    dispatched steps and macro candidates did not go further is counted in
+    :attr:`EngineStats.fast_path_exit` and :attr:`EngineStats.macro_abort`.
+
     Parameters
     ----------
     max_steps:
@@ -800,9 +850,10 @@ def simulate(
     if fault_injector is not None:
         fault_injector.begin_run()
 
-    releases = instance.releases
-    arrival_order = np.argsort(releases, kind="stable")
-    next_arrival_idx = 0
+    # Instance keeps jobs in (release, submission) order, so job ids are the
+    # arrival order: jobs below next_job have been delivered.
+    releases = instance.releases.tolist()
+    next_job = 0
     n_jobs = len(instance)
 
     # Kernel backend (REPRO_BACKEND, see repro.core.kernels): the hot inner
@@ -810,11 +861,10 @@ def simulate(
     # local ints and folded into stats once at the end of the run.
     backend = get_backend()
     stats.backend = backend.name
-    k_commit = backend.commit_frontier
     k_children = backend.csr_children
     k_min_dt = backend.chain_min_dt
     k_macro = backend.macro_fill
-    n_commit = n_children = n_min_dt = n_macro = 0
+    n_children = n_min_dt = n_macro = n_order = 0
 
     # Hot-loop locals (profiled: attribute chasing dominated the per-step
     # cost — see the HPC guides' "measure, then optimize").
@@ -829,8 +879,9 @@ def simulate(
     ready_mask = state.ready_mask
     completion_flat = state.completion_flat
     unfinished = state.unfinished_counts
-    ready_per_job = state.ready_per_job
+    outdeg = np.diff(child_indptr)
     is_forest = flat.all_out_forests
+    n_total = flat.n_nodes
     # For pure out-forests every enabled child has exactly one parent, so
     # readiness never consults indegrees — skip their upkeep entirely unless
     # an observer may inspect ``state.remaining_indegree``.
@@ -851,6 +902,18 @@ def simulate(
         and fault_injector is None
         and scheduler.supports_fast_forward
     )
+    # Why a dispatched step did not run on the fast path (one reason per
+    # run; counted per select() call into EngineStats.fast_path_exit).
+    if observer is not None:
+        exit_reason = "observer"
+    elif fault_injector is not None:
+        exit_reason = "faults"
+    elif fast_ok:
+        exit_reason = "no_kernel_truncation"
+    elif getattr(getattr(scheduler, "tie_break", None), "pure", True) is False:
+        exit_reason = "impure_tiebreak"
+    else:
+        exit_reason = "select_only"
     # Dynamic job walk order (see Scheduler.dynamic_job_order): schedulers
     # whose job order is a pure function of the engine's own unfinished
     # counts (e.g. SRPT) hand the fast path their walk order each step —
@@ -861,37 +924,35 @@ def simulate(
         else None
     )
     # Flat priority kernel (see Scheduler.frontier_priorities): with one the
-    # fast path also covers truncated-mid-job steps, committing the cap-best
-    # ready subjobs by a stable argsort — select() is never dispatched.
+    # fast path also covers truncated-mid-job steps — select() is never
+    # dispatched.
     prio_flat: Optional[Array] = (
         scheduler.frontier_priorities(instance) if fast_ok else None
     )
-    # Encoded priority frontiers: with a non-constant kernel the fast path
-    # stores each frontier pre-sorted by the composite key
-    # ``rank(priority) * n_total + gid`` — unique per node and lexicographic
-    # in (priority, id) — so a mid-job truncation is a plain prefix slice
-    # instead of a per-step argsort. Priorities are dense-ranked first so the
-    # composite never overflows int64 whatever the kernel's magnitudes. A
-    # constant kernel (e.g. Arbitrary's zeros) encodes to the identity:
-    # ``prio_enc`` stays None and frontiers remain plain gid-sorted arrays
-    # (preserving the contiguous-slice child gather).
-    n_total = flat.n_nodes
-    prio_enc: Optional[Array] = None
+    # Selection ranks. Under the FIFO frontier contract a step takes ready
+    # nodes in (job, priority, id) order, so while fast-forwarding the
+    # engine keeps ONE ascending array ``frontier`` of the ready nodes'
+    # ranks in that order (the representation simulate_batch uses). Job j's
+    # nodes hold exactly the ranks [offsets[j], offsets[j+1]). A constant
+    # kernel (or none) ranks by gid: ``by_rank``/``sel_rank`` stay None and a
+    # rank IS its gid, which keeps contiguous steps on one CSR slice.
+    by_rank: Optional[Array] = None
+    sel_rank: Optional[Array] = None
     if prio_flat is not None and prio_flat.size:
-        # Cheap O(n) constancy scan first: skip the dense-ranking sort for
-        # constant kernels, whose encoding would be the identity anyway.
+        # Cheap O(n) constancy scan first: a constant kernel needs no sort.
         if int(prio_flat.min()) < int(prio_flat.max()):
-            _ranks = np.unique(prio_flat, return_inverse=True)[1]
-            prio_enc = _ranks.astype(np.int64) * n_total + np.arange(
-                n_total, dtype=np.int64
+            by_rank, sel_rank = backend.batch_select_order(
+                prio_flat, np.repeat(np.arange(n_jobs), np.diff(offsets))
             )
+            n_order = 1
+    frontier = np.empty(0, dtype=_INT)
     # Chain-run macro-stepping (see Scheduler.macro_step_safe and
     # docs/engine-internals.md): when the forced whole-frontier selection
     # would repeat verbatim for the next Δt steps — every committed gid on
     # a chain run, no arrival, no capacity change — commit all Δt schedule
     # columns in one vectorized write instead of Δt loop iterations.
     # Restricted to out-forest instances: only there may the fast path skip
-    # interior indegree decrements entirely (the forest exit below zeroes
+    # interior indegree decrements entirely (the fast-mode exit zeroes
     # indegrees wholesale from the done mask).
     macro_ok = (
         fast_ok
@@ -899,14 +960,10 @@ def simulate(
         and scheduler.macro_step_safe
         and use_macro_steps is not False
     )
-    run_nodes: Optional[Array] = None
-    node_index: Optional[Array] = None
-    steps_to_end: Optional[Array] = None
-    if macro_ok:
-        chains = instance.chain_layout
-        run_nodes = chains.run_nodes
-        node_index = chains.node_index
-        steps_to_end = chains.steps_to_end
+    macro_abort: dict[str, int] = {}
+    # Built on the first step whose selection is all chain interiors: most
+    # instances never reach one, and the layout costs a pass per job.
+    chains: Optional[FlatChainRuns] = None
     # Flat ready delivery (see Scheduler.wants_ready_gids): hand newly-ready
     # nodes over as one ascending gid array instead of grouping per job.
     # Fault injection perturbs per-job delivery groups, so it forces the
@@ -914,22 +971,12 @@ def simulate(
     use_flat_ready = (
         scheduler.wants_ready_gids and observer is None and fault_injector is None
     )
-    # ready_per_job only feeds the fast-path frontier scan; skip its upkeep
-    # on the batched slow path when nothing reads it.
-    track_per_job = fast_ok or not use_flat_ready
-    # While fast_run is True the engine runs on per-job frontier arrays and
-    # defers ready_mask/done_flat (and, for forests, indegree) upkeep; the
-    # deferred state is materialized when leaving fast mode, right before
-    # the scheduler is resynced.
+    # While fast_run is True ``frontier`` is the authoritative ready set and
+    # ready_mask/done_flat (for forests also indegree, for FIFO walks also
+    # unfinished_counts) upkeep is deferred; the deferred state is
+    # materialized when leaving fast mode, right before the resync.
     fast_run = False
-    frontiers: list[Optional[Array]] = [None] * n_jobs
-    # Invariant: stored frontiers are ascending — in gids when ``prio_enc``
-    # is None, else in encoded (priority, id) keys. fr_contig[j] marks
-    # gid-sorted frontiers that are a contiguous id range (then their CSR
-    # child rows are adjacent and the per-step gather collapses to one
-    # slice); encoded frontiers never claim contiguity.
-    fr_contig = [False] * n_jobs
-    head = 0  # job ids below this are finished (jobs finish roughly FIFO)
+    first_live = 0  # first unfinished job when fast mode was entered
 
     t = 0
     while total_left:
@@ -937,51 +984,42 @@ def simulate(
             raise SimulationError(
                 f"simulation exceeded max_steps={max_steps}; scheduler "
                 f"{scheduler.name} appears to be livelocked "
-                f"({state.total_unfinished} subjobs left)"
+                f"({total_left} subjobs left)"
             )
         # Deliver arrivals with r_i == t.
-        while (
-            next_arrival_idx < n_jobs
-            and releases[arrival_order[next_arrival_idx]] == t
-        ):
-            job_id = int(arrival_order[next_arrival_idx])
+        while next_job < n_jobs and releases[next_job] == t:
+            job_id = next_job
             job = instance[job_id]
             state.released[job_id] = True
             scheduler.on_job_arrival(t, job_id, job)
             roots = job.dag.roots
+            root_gids = offsets_list[job_id] + roots
             if fast_run:
                 # The scheduler's ready bookkeeping is stale anyway while
-                # fast-forwarded; resync() will deliver it wholesale.
-                fr = offsets[job_id] + roots  # roots are ascending
-                if prio_enc is not None:
-                    fr = np.sort(prio_enc[fr])
-                    frontiers[job_id] = fr
-                else:
-                    frontiers[job_id] = fr
-                    fr_contig[job_id] = bool(fr[-1] - fr[0] == fr.size - 1)
+                # fast-forwarded; resync() will deliver it wholesale. Job
+                # ids follow release order, so the newcomer's ranks sort
+                # after every live one.
+                if sel_rank is not None:
+                    root_gids = np.sort(sel_rank[root_gids])
+                frontier = np.concatenate((frontier, root_gids))
             else:
-                root_gids = offsets[job_id] + roots
                 ready_mask[root_gids] = True
                 if use_flat_ready:
                     scheduler.on_ready_gids(t, root_gids)
                 else:
                     scheduler.on_nodes_ready(t, job_id, roots)
-            ready_per_job[job_id] += roots.size
             ready_total += roots.size
-            next_arrival_idx += 1
+            next_job += 1
 
         # Fast-forward through genuinely empty time (no ready work at all).
         if ready_total == 0:
-            if next_arrival_idx >= n_jobs:
+            if next_job >= n_jobs:
                 raise SimulationError(
                     "no ready work and no future arrivals but "
-                    f"{state.total_unfinished} subjobs unfinished"
+                    f"{total_left} subjobs unfinished"
                 )
-            t = int(releases[arrival_order[next_arrival_idx]])
+            t = releases[next_job]
             continue
-
-        while head < n_jobs and unfinished[head] == 0:
-            head += 1
 
         # This step's allocation m_t (constant m without a trace).
         cap_t = (
@@ -991,228 +1029,177 @@ def simulate(
         )
 
         # ------------------------------------------------------------------
-        # Steady-state fast path: under the FIFO frontier contract the
-        # selection is forced whenever the capacity boundary falls on a job
-        # boundary — commit whole ready layers without dispatching.
+        # Steady-state fast path: the selection is the cap_t best ready
+        # ranks (FIFO: a prefix of ``frontier``; dynamic order: whole job
+        # segments in walk order). It is forced when the cut falls on a job
+        # boundary; inside a job the priority kernel decides, and without
+        # one the step is dispatched to the scheduler.
         # ------------------------------------------------------------------
         if fast_ok:
-            cap = cap_t
-            commit_jobs: list[int] = []
-            forced = True
-            trunc_job = -1
-            walk: Iterable[int]
+            if not fast_run:
+                # Snapshot the ready set from the first unfinished released
+                # job on: no earlier node can be ready, and on a large
+                # instance the window is far smaller than the whole mask.
+                first_live = int(np.argmax(unfinished[:next_job] > 0))
+                lo = offsets_list[first_live]
+                frontier = np.flatnonzero(ready_mask[lo : offsets_list[next_job]])
+                frontier += lo
+                if sel_rank is not None:
+                    frontier = np.sort(sel_rank[frontier])
+            trunc = False
+            took: list[tuple[int, int]] = []  # (job, count), dynamic order
             if dyn_order is None:
-                walk = range(head, next_arrival_idx)
+                if 0 < cap_t < frontier.size:
+                    # The cut is inside a job iff the first untaken rank
+                    # lies before the end of the last taken rank's job.
+                    job_end = offsets_list[
+                        bisect_right(offsets_list, int(frontier[cap_t - 1]))
+                    ]
+                    trunc = int(frontier[cap_t]) < job_end
+                taken = frontier[:cap_t]
+                rest = [frontier[cap_t:]]  # sorted runs of unselected ranks
             else:
-                live = np.nonzero(ready_per_job[head:next_arrival_idx])[0]
-                live += head
-                walk = dyn_order(live.tolist(), unfinished)
-            for j in walk:
-                if cap == 0:
-                    break
-                c = int(ready_per_job[j])
-                if c == 0:
-                    continue
-                if c <= cap:
-                    commit_jobs.append(j)
+                # Each job's ranks are one segment of ``frontier``, located
+                # by one searchsorted against the offsets.
+                j0 = bisect_right(offsets_list, int(frontier[0])) - 1
+                j1 = bisect_right(offsets_list, int(frontier[-1]))
+                seg = frontier.searchsorted(offsets[j0 : j1 + 1]).tolist()
+                live = [j for j, a, b in zip(range(j0, j1), seg, seg[1:]) if b > a]
+                cuts = [0]  # alternating keep/take boundaries, ascending
+                cap = cap_t
+                for j in dyn_order(live, unfinished):
+                    if cap == 0:
+                        break
+                    a = seg[j - j0]
+                    c = seg[j - j0 + 1] - a
+                    if c > cap:
+                        trunc = True
+                        c = cap
+                    took.append((j, c))
+                    cuts += (a, a + c)
                     cap -= c
-                elif prio_flat is not None:
-                    trunc_job = j  # truncation mid-job: the kernel decides
-                    break
+                    if trunc:
+                        break
+                cuts.append(frontier.size)
+                if len(took) > 1:
+                    cuts[1:-1] = sorted(cuts[1:-1])
+                parts = [frontier[a:b] for a, b in zip(cuts, cuts[1:])]
+                if len(took) == 1:
+                    taken = parts[1]
                 else:
-                    forced = False  # truncation mid-job: tie-break decides
-                    break
-            if forced:
-                if not fast_run:
-                    # Entering fast mode: snapshot each live frontier out of
-                    # the mask; from here mask/done upkeep is deferred.
-                    for j in range(head, next_arrival_idx):
-                        if unfinished[j] > 0:
-                            lo, hi = offsets_list[j], offsets_list[j + 1]
-                            fr = np.nonzero(ready_mask[lo:hi])[0]
-                            fr += lo
-                            if prio_enc is not None:
-                                fr = np.sort(prio_enc[fr])
-                                frontiers[j] = fr
-                            else:
-                                frontiers[j] = fr
-                                fr_contig[j] = bool(
-                                    fr.size == 0
-                                    or fr[-1] - fr[0] == fr.size - 1
-                                )
-                    fast_run = True
-                    indeg_list = None  # scalar-path copy goes stale
-                if macro_ok and trunc_job < 0 and commit_jobs:
-                    # Macro-step commit: find Δt, the number of steps this
-                    # exact forced selection pattern repeats. Three bounds:
-                    # the gap to the next arrival (a new job changes the
-                    # packing), the shortest chain-run remainder among the
-                    # committed frontiers (a slot stays forced only while
-                    # its node has a sole in-chain successor), and the
-                    # window over which the availability trace stays cap_t.
-                    if next_arrival_idx < n_jobs:
-                        dt = int(releases[arrival_order[next_arrival_idx]]) - t
+                    taken = np.concatenate(parts[1::2] or [frontier[:0]])
+                rest = parts[::2]
+            if not trunc or prio_flat is not None:
+                fast_run = True
+                indeg_list = None  # scalar-path copy goes stale
+                k = taken.size
+                gids = taken if by_rank is None else by_rank[taken]
+                # Commit one step: completion times, then the children of
+                # the selected nodes that have any.
+                if not k:
+                    kids = taken
+                elif by_rank is None and int(taken[-1]) - int(taken[0]) == k - 1:
+                    # Contiguous gids (the common layered shape): their CSR
+                    # child rows are adjacent, so both writes are slices.
+                    g0 = int(taken[0])
+                    completion_flat[g0 : g0 + k] = t + 1
+                    kids = child_indices[child_indptr[g0] : child_indptr[g0 + k]]
+                else:
+                    completion_flat[gids] = t + 1
+                    parents = gids[outdeg[gids] > 0]
+                    if parents.size == 1:
+                        # One parent (a layer's key, say): one CSR slice.
+                        g = int(parents[0])
+                        kids = child_indices[child_indptr[g] : child_indptr[g + 1]]
+                    else:
+                        kids = k_children(child_indptr, child_indices, parents)
+                        n_children += 1
+                dt = 1
+                if macro_ok and k and not trunc:
+                    # Macro-step: extend this forced selection over the Δt
+                    # steps it repeats verbatim, bounded by the gap to the
+                    # next arrival, the shortest chain-run remainder among
+                    # the selected gids (a slot stays forced only while its
+                    # node has a sole child, the next node of its run) and
+                    # the window over which the availability trace stays
+                    # cap_t.
+                    if next_job < n_jobs:
+                        dt = releases[next_job] - t
                     else:
                         dt = total_left  # chain remainders tighten below
-                    macro_gids: list[Array] = []
-                    if dt > 1:
-                        assert steps_to_end is not None  # set when macro_ok
-                        for j in commit_jobs:
-                            fr = frontiers[j]
-                            assert fr is not None
-                            g = fr if prio_enc is None else fr % n_total
-                            macro_gids.append(g)
-                            dt = int(k_min_dt(steps_to_end, g, dt))
-                            n_min_dt += 1
-                            if dt == 1:
-                                break
-                    if dt > 1 and avail_vals is not None and t < avail_len:
-                        # Inside the explicit trace prefix m_t may vary;
-                        # past it the tail is constant and equals cap_t
-                        # (this step already drew it), so no bound applies.
-                        span = 1
-                        while span < dt:
-                            tk = t + span
-                            if (
-                                avail_vals[tk] if tk < avail_len else avail_tail
-                            ) != cap_t:
-                                break
-                            span += 1
-                        dt = span
-                    if dt > 1:
-                        assert run_nodes is not None and node_index is not None
-                        assert steps_to_end is not None
-                        k = 0
-                        for j, gids in zip(commit_jobs, macro_gids):
-                            nxt, term = k_macro(
-                                run_nodes,
-                                node_index,
-                                steps_to_end,
-                                completion_flat,
-                                gids,
-                                t,
-                                dt,
-                            )
-                            kids = k_children(
-                                child_indptr, child_indices, term
-                            )
-                            n_macro += 1
-                            n_children += 1
-                            # (Forest: every child's sole parent — a run
-                            # terminal committed in the last column — is
-                            # done, so all gathered children are ready.)
-                            new = np.concatenate((nxt, kids))
-                            if prio_enc is None:
-                                nfr = np.sort(new)
-                                nsz = nfr.size
-                                fr_contig[j] = bool(
-                                    nsz == 0 or nfr[-1] - nfr[0] == nsz - 1
-                                )
-                            else:
-                                nfr = np.sort(prio_enc[new])
-                                nsz = nfr.size
-                            frontiers[j] = nfr
-                            c = gids.size
-                            ready_per_job[j] = nsz
-                            unfinished[j] -= c * dt
-                            ready_total += nsz - c
-                            k += c * dt
-                        total_left -= k
-                        stats.steps += dt
-                        stats.fast_forwarded_steps += dt
-                        stats.macro_steps += 1
-                        stats.compressed_steps += dt
-                        stats.selections += k
-                        t += dt
-                        continue
-                finish = t + 1
-                k = 0
-                for j in commit_jobs:
-                    fr = frontiers[j]
-                    assert fr is not None  # commit_jobs have live frontiers
-                    gids = fr if prio_enc is None else fr % n_total
-                    if fr_contig[j]:
-                        # Contiguous CSR rows: concatenated children are one
-                        # slice (the common layered shape).
-                        completion_flat[gids] = finish
-                        kids = child_indices[
-                            child_indptr[gids[0]] : child_indptr[gids[-1] + 1]
-                        ]
+                    reason = ""
+                    if dt <= 1 and next_job < n_jobs:
+                        reason = "arrival"
+                    elif kids.size < k or np.count_nonzero(outdeg[gids]) < k:
+                        reason = "chain_end"  # a selected node is a leaf
+                    elif kids.size > k:
+                        reason = "not_chain"  # ... or has several children
                     else:
-                        kids = k_commit(
-                            child_indptr,
-                            child_indices,
+                        if chains is None:
+                            chains = instance.chain_layout
+                        dt = int(k_min_dt(chains.steps_to_end, gids, dt))
+                        n_min_dt += 1
+                        if avail_vals is not None and t < avail_len:
+                            # Inside the explicit trace prefix m_t may vary;
+                            # past it the tail is constant and equals cap_t.
+                            span = 1
+                            while span < dt:
+                                tk = t + span
+                                if (
+                                    avail_vals[tk] if tk < avail_len else avail_tail
+                                ) != cap_t:
+                                    break
+                                span += 1
+                            dt = span
+                            if dt == 1:
+                                reason = "trace"
+                    if reason:
+                        dt = 1
+                        macro_abort[reason] = macro_abort.get(reason, 0) + 1
+                    else:
+                        assert chains is not None
+                        # Rewrites column 0 (this step) identically.
+                        nxt, term = k_macro(
+                            chains.run_nodes,
+                            chains.node_index,
+                            chains.steps_to_end,
                             completion_flat,
                             gids,
-                            finish,
+                            t,
+                            dt,
                         )
-                        n_commit += 1
-                    if not is_forest:
-                        np.subtract.at(indeg, kids, 1)
-                        kids = np.unique(kids[indeg[kids] == 0])
-                    # (For forests every child's sole parent just completed.)
-                    if prio_enc is None:
-                        # Sort to keep the frontier-ascending invariant
-                        # (np.unique output above is already sorted).
-                        nfr = np.sort(kids) if is_forest else kids
-                        ksz = nfr.size
-                        fr_contig[j] = bool(
-                            ksz == 0 or nfr[-1] - nfr[0] == ksz - 1
+                        # (Forest: every child's sole parent — a run
+                        # terminal committed in the last column — is done,
+                        # so all gathered children are ready.)
+                        kids = np.concatenate(
+                            (nxt, k_children(child_indptr, child_indices, term))
                         )
-                    else:
-                        nfr = np.sort(prio_enc[kids])
-                        ksz = nfr.size
-                    frontiers[j] = nfr
-                    taken = gids.size
-                    ready_per_job[j] = ksz
-                    unfinished[j] -= taken
-                    ready_total += ksz - taken
-                    k += taken
-                if trunc_job >= 0:
-                    # Priority commit: resolve the mid-job truncation with
-                    # the flat kernel. Frontiers are pre-sorted in tie-break
-                    # order — by encoded (priority, id) keys, or by gid when
-                    # the kernel is constant — so the cap-best nodes are a
-                    # plain prefix slice; the engine never consults the
-                    # scheduler and no per-step sort of the whole frontier
-                    # by priority is needed.
-                    j = trunc_job
-                    fr = frontiers[j]
-                    # trunc_job is only set when a kernel exists, and its
-                    # frontier was materialized on fast-mode entry.
-                    assert fr is not None
-                    taken_enc = fr[:cap]
-                    rest = fr[cap:]
-                    gids = (
-                        taken_enc if prio_enc is None else taken_enc % n_total
-                    )
-                    kids = k_commit(
-                        child_indptr, child_indices, completion_flat, gids, finish
-                    )
-                    n_commit += 1
-                    if not is_forest:
-                        np.subtract.at(indeg, kids, 1)
-                        kids = np.unique(kids[indeg[kids] == 0])
-                    if prio_enc is not None:
-                        kids = prio_enc[kids]
-                    new_fr = np.concatenate((rest, kids))
-                    new_fr.sort()
-                    frontiers[j] = new_fr
-                    nsz = new_fr.size
-                    if prio_enc is None:
-                        fr_contig[j] = bool(
-                            nsz == 0 or new_fr[-1] - new_fr[0] == nsz - 1
-                        )
-                    ready_per_job[j] = nsz
-                    unfinished[j] -= cap
-                    ready_total += nsz - fr.size
-                    k += cap
-                    stats.kernel_steps += 1
-                total_left -= k
-                stats.steps += 1
-                stats.fast_forwarded_steps += 1
-                stats.selections += k
-                t = finish
+                        n_macro += 1
+                        n_children += 1
+                        stats.macro_steps += 1
+                        stats.compressed_steps += dt
+                if not is_forest:
+                    np.subtract.at(indeg, kids, 1)
+                    kids = kids[indeg[kids] == 0]
+                    if kids.size > 1:
+                        kids = np.unique(kids)
+                # (For forests every child's sole parent just completed.)
+                if kids.size:
+                    if sel_rank is not None:
+                        kids = sel_rank[kids]
+                    frontier = np.concatenate((*rest, kids))
+                    frontier.sort(kind="stable")  # a merge of sorted runs
+                else:
+                    frontier = rest[0] if len(rest) == 1 else np.concatenate(rest)
+                for j, c in took:
+                    unfinished[j] -= c * dt
+                ready_total = frontier.size
+                total_left -= k * dt
+                stats.steps += dt
+                stats.fast_forwarded_steps += dt
+                stats.kernel_steps += trunc
+                stats.selections += k * dt
+                t += dt
                 continue
 
         # ------------------------------------------------------------------
@@ -1220,21 +1207,21 @@ def simulate(
         # deferred fast-mode state and resyncing the scheduler's view.
         # ------------------------------------------------------------------
         if fast_run:
-            np.not_equal(completion_flat, 0, out=done_flat)
-            ready_mask[:] = False
-            for j in range(n_jobs):
-                fr = frontiers[j]
-                if fr is not None:
-                    if fr.size:
-                        ids = fr if prio_enc is None else fr % n_total
-                        ready_mask[ids] = True
-                        if is_forest:
-                            indeg[ids] = 0
-                    frontiers[j] = None
+            # Only jobs live since the entry snapshot can have changed.
+            win = offsets[first_live : next_job + 1]
+            lo, hi = int(win[0]), int(win[-1])
+            ids = frontier if by_rank is None else by_rank[frontier]
+            done = np.not_equal(completion_flat[lo:hi], 0, out=done_flat[lo:hi])
+            ready_mask[lo:hi] = False
+            ready_mask[ids] = True
             if is_forest:
                 # Forest fast mode skips decrements: every node enabled
-                # during the run is now done or in a frontier — zero both.
-                indeg[done_flat] = 0
+                # during the run is now done or in the frontier — zero both.
+                indeg[ids] = 0
+                indeg[lo:hi][done] = 0
+            left = np.zeros(hi - lo + 1, dtype=_INT)
+            np.cumsum(~done, out=left[1:])
+            unfinished[first_live:next_job] = np.diff(left[win - lo])
             fast_run = False
             scheduler.resync(t, state)
             stats.resyncs += 1
@@ -1246,11 +1233,9 @@ def simulate(
             # (matching the original delivery order), then each job's live
             # ready frontier is delivered wholesale.
             scheduler.reset(instance, m)
-            for idx in range(next_arrival_idx):
-                job_id = int(arrival_order[idx])
+            for job_id in range(next_job):
                 scheduler.on_job_arrival(t, job_id, instance[job_id])
-            for idx in range(next_arrival_idx):
-                job_id = int(arrival_order[idx])
+            for job_id in range(next_job):
                 if unfinished[job_id] > 0:
                     nodes = state.ready_nodes(job_id)
                     if nodes.size:
@@ -1320,7 +1305,6 @@ def simulate(
                 completion_flat[gid] = finish
                 done_flat[gid] = True
                 unfinished[job_id] -= 1
-                ready_per_job[job_id] -= 1
                 total_left -= 1
                 ready_total -= 1
                 # Children always live in the selecting job's id range (the
@@ -1348,7 +1332,6 @@ def simulate(
                 arr = np.array(locals_, dtype=_INT)
                 garr = offsets[job_id] + arr
                 ready_mask[garr] = True
-                ready_per_job[job_id] += arr.size
                 ready_total += arr.size
                 if use_flat_ready:
                     flat_parts.append(garr)
@@ -1423,10 +1406,7 @@ def simulate(
             completion_flat[gids] = finish
             done_flat[gids] = True
             ready_mask[gids] = False
-            cnt = np.bincount(jobs_sel, minlength=n_jobs)
-            unfinished -= cnt
-            if track_per_job:
-                ready_per_job -= cnt
+            unfinished -= np.bincount(jobs_sel, minlength=n_jobs)
             total_left -= k
             ready_total -= k
             if indeg_list is not None:
@@ -1460,15 +1440,13 @@ def simulate(
                 if childs.size:
                     ready_mask[childs] = True
                     ready_total += childs.size
-                    if track_per_job:
-                        sjobs = (
-                            np.searchsorted(offsets, stream, side="right") - 1
-                        )
-                        ready_per_job += np.bincount(sjobs, minlength=n_jobs)
                     if use_flat_ready:
                         flat_ready_gids = childs
                     else:
                         # Group per job in first-enabled order, ascending.
+                        sjobs = (
+                            np.searchsorted(offsets, stream, side="right") - 1
+                        )
                         ujobs, first = np.unique(sjobs, return_index=True)
                         for j in ujobs[np.argsort(first, kind="stable")].tolist():
                             lo, hi = offsets_list[j], offsets_list[j + 1]
@@ -1507,13 +1485,16 @@ def simulate(
 
     schedule = Schedule.from_flat(instance, m, completion_flat)
     for kname, count in (
-        ("commit_frontier", n_commit),
         ("csr_children", n_children),
         ("chain_min_dt", n_min_dt),
         ("macro_fill", n_macro),
+        ("batch_select_order", n_order),
     ):
         if count:
             stats.kernel_dispatches[kname] = count
+    if stats.select_calls:
+        stats.fast_path_exit[exit_reason] = stats.select_calls
+    stats.macro_abort = macro_abort
     stats.sim_seconds = time.perf_counter() - t_wall
     _GLOBAL_STATS.add(stats)
     object.__setattr__(schedule, "engine_stats", stats)
@@ -1623,8 +1604,8 @@ def _simulate_batch_packed(
     n_merge = n_take = 0
 
     # Batch-global selection order: instance-major because batch-global
-    # job ids are; within a job, (priority, id) — exactly the per-instance
-    # encoded-frontier order (see numpy_backend.batch_select_order).
+    # job ids are; within a job, (priority, id) — exactly the rank order of
+    # simulate()'s frontier (see numpy_backend.batch_select_order).
     order, sel_rank = backend.batch_select_order(prio_full, batch.job_of_node)
     stats.kernel_dispatches["batch_select_order"] = (
         stats.kernel_dispatches.get("batch_select_order", 0) + 1

@@ -94,13 +94,16 @@ def csr_gather(
     """
     nodes = as_int_array(nodes)
     starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    total = int(counts.sum())
+    # (Array methods and a shifted view, not np.cumsum/np.sum/``nodes + 1``:
+    # on frontier-sized inputs their Python wrappers cost more than the work.)
+    counts = indptr[1:][nodes] - starts
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=_INT), counts
     # Output slot k of row i reads indices[starts[i] + (k - first[i])],
-    # where first[i] = cumsum(counts)[i] - counts[i] is the row's first slot.
-    shift = (starts - (np.cumsum(counts) - counts)).repeat(counts)
+    # where first[i] = ends[i] - counts[i] is the row's first slot.
+    shift = (starts - ends + counts).repeat(counts)
     return indices[np.arange(total, dtype=_INT) + shift], counts
 
 

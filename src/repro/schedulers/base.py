@@ -30,8 +30,9 @@ unlocks two vectorized hot paths (see ``docs/engine-internals.md``):
 * :class:`BucketReadyQueue` — a bucket queue keyed by the kernel that pops
   in exactly :class:`ReadyHeap` order without any per-node ``key()``
   calls; and
-* the engine's *priority commit*: with a flat kernel the engine can apply
-  a truncated FIFO-frontier selection itself via one stable argsort.
+* the engine's *priority commit*: with a flat kernel the engine ranks
+  every node once and applies a truncated FIFO-frontier selection itself
+  as a prefix of its rank-sorted ready set.
 
 Custom tie-breaks that return ``None`` (the default, and what
 :class:`RandomTieBreak` does) transparently fall back to the pure-Python

@@ -127,8 +127,8 @@ class SRPTScheduler(Scheduler):
     def frontier_priorities(self, instance: Instance) -> Optional[Array]:
         """Concatenated per-job priority kernels (computed at
         :meth:`reset`) — lets the engine resolve mid-job truncations as
-        prefix slices of its encoded frontiers, keeping even truncated
-        steps on the fast path."""
+        prefix slices of a job's segment of its rank frontier, keeping
+        even truncated steps on the fast path."""
         return self._prio_flat
 
     def fast_path_job_order(

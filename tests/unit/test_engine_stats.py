@@ -170,3 +170,91 @@ class TestBatchedCounters:
         assert "batch_steps=4" in text
         assert "fallback_runs=1" in text
         assert "2^3" in text
+
+
+class TestReasonCodes:
+    """``fast_path_exit`` and ``macro_abort``: why a step left the fast
+    path or a macro candidate committed one step only."""
+
+    @staticmethod
+    def _exits(scheduler, **kwargs):
+        st = simulate(_packed_instance(), 6, scheduler, **kwargs).engine_stats
+        assert st.select_calls > 0
+        assert sum(st.fast_path_exit.values()) == st.select_calls
+        return set(st.fast_path_exit)
+
+    def test_exit_reasons(self):
+        from repro.core import SimulationObserver
+        from repro.faults import FaultInjector
+        from repro.schedulers import RandomTieBreak, WorkStealingScheduler
+
+        assert self._exits(FIFOScheduler(use_priority_kernel=False)) == {
+            "no_kernel_truncation"
+        }
+        assert self._exits(FIFOScheduler(RandomTieBreak(seed=1))) == {
+            "impure_tiebreak"
+        }
+        assert self._exits(WorkStealingScheduler(seed=1)) == {"select_only"}
+        assert self._exits(
+            FIFOScheduler(), observer=SimulationObserver()
+        ) == {"observer"}
+        assert self._exits(
+            FIFOScheduler(), fault_injector=FaultInjector(crash_times=(1,))
+        ) == {"faults"}
+
+    def test_kernel_runs_never_exit(self):
+        st = simulate(_packed_instance(), 6, FIFOScheduler()).engine_stats
+        assert st.select_calls == 0 and st.fast_path_exit == {}
+
+    @staticmethod
+    def _aborts(jobs, m, availability=None):
+        st = simulate(
+            Instance(jobs), m, FIFOScheduler(), availability=availability
+        ).engine_stats
+        return st.macro_abort, st.macro_steps
+
+    def test_macro_abort_reasons(self):
+        from repro.core import star
+
+        # A job arriving next step bounds the window to one step.
+        assert self._aborts([Job(chain(5), 0), Job(chain(1), 1)], 2) == (
+            {"arrival": 1, "chain_end": 1},
+            1,
+        )
+        # A branching root, then leaves.
+        assert self._aborts([Job(star(3), 0)], 4) == (
+            {"not_chain": 1, "chain_end": 1},
+            0,
+        )
+        # The trace grants one more processor next step.
+        assert self._aborts([Job(chain(5), 0)], 2, availability=[1, 2]) == (
+            {"trace": 1},
+            1,
+        )
+
+    def test_counters_merge_and_print(self):
+        a = EngineStats(fast_path_exit={"observer": 2}, macro_abort={"trace": 1})
+        b = EngineStats(
+            fast_path_exit={"observer": 1, "faults": 4},
+            macro_abort={"arrival": 3},
+        )
+        total = EngineStats()
+        total.add(a)
+        total.add(b)
+        assert total.fast_path_exit == {"observer": 3, "faults": 4}
+        assert total.macro_abort == {"trace": 1, "arrival": 3}
+        d = total.delta(a)
+        assert d.fast_path_exit == {"observer": 1, "faults": 4}
+        assert d.macro_abort == {"arrival": 3}
+        text = total.summary()
+        assert "fast_path_exit[faults:4 observer:3]" in text
+        assert "macro_abort[arrival:3 trace:1]" in text
+        assert "fast_path_exit" not in EngineStats().summary()
+
+    def test_snapshot_copies_reason_dicts(self):
+        reset_engine_stats()
+        simulate(_packed_instance(), 6, FIFOScheduler(use_priority_kernel=False))
+        snap = engine_stats_snapshot()
+        before = dict(snap.fast_path_exit)
+        simulate(_packed_instance(), 6, FIFOScheduler(use_priority_kernel=False))
+        assert snap.fast_path_exit == before
